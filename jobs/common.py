@@ -7,6 +7,7 @@ Each ``jobs/tableN.py`` exposes ``run(spark, ...) -> pandas.DataFrame``
 from __future__ import annotations
 
 import argparse
+import os
 import time
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Tuple
@@ -27,6 +28,15 @@ DECOMPS: List[Tuple[str, int, int]] = [
 
 def build_session(app: str) -> SparkSession:
     """Session for standalone spark-submit runs (tests use the fixture)."""
+    # PySpark reads PYSPARK_SUBMIT_ARGS when it launches the JVM, the only
+    # point where the master and driver memory can still be set.
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false "
+        "pyspark-shell",
+    )
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "16")

@@ -14,21 +14,12 @@ SND's counts are test-verified equal to the sequential SND's).
 """
 from __future__ import annotations
 
-import os
 import sys
+from math import comb
 from pathlib import Path
 
 if __package__ in (None, ""):  # spark-submit / plain-python execution
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-# Driver memory is read at JVM launch, so it must be in PYSPARK_SUBMIT_ARGS
-# before pyspark is imported (standalone runs; pytest gets this from conftest).
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
-    "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -37,7 +28,6 @@ from jobs.common import (
     DECOMPS, build_session, graph_names, load_graph, print_table, std_parser,
 )
 from repro.core import seq
-from repro.core.peel_spark import comb
 from repro.graph.cliques import membership
 
 

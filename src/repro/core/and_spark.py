@@ -21,8 +21,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.hindex import h_index
-from repro.core.snd import DecompResult, _merge_updates
-from repro.graph.cliques import Membership, membership, s_degree_df
+from repro.core.snd import DecompResult, _fixpoint
+from repro.graph.cliques import Membership, membership
 
 _OUT_SCHEMA = "rid long, new_tau long"
 
@@ -69,8 +69,9 @@ def and_block(
 ) -> DecompResult:
     """Block-asynchronous nucleus decomposition on Spark.
 
-    ``n_blocks`` defaults to the session's shuffle parallelism. Returns
-    the same :class:`DecompResult` as :func:`repro.core.snd.snd`, with
+    ``n_blocks`` defaults to ``sparkContext.defaultParallelism`` (the core
+    count, N under a ``local[N]`` master). Returns the same
+    :class:`DecompResult` as :func:`repro.core.snd.snd`, with
     ``iterations`` = outer sweeps that changed >= 1 τ.
     """
     mem = mem or membership(edges, r, s)
@@ -85,11 +86,8 @@ def and_block(
         .where(F.col("rid") != F.col("peer"))
         .localCheckpoint(eager=True)
     )
-    tau = s_degree_df(mem).select("rid", F.col("deg").cast("long").alias("tau"))
-    tau = tau.localCheckpoint(eager=True)
 
-    iters = 0
-    while max_iter is None or iters < max_iter:
+    def block_sweep(tau: DataFrame) -> DataFrame:
         withvals = (
             peers.join(
                 tau.select(F.col("rid").alias("peer"), F.col("tau").alias("peer_tau")),
@@ -98,29 +96,11 @@ def and_block(
             .join(tau, "rid")
             .withColumn("block", F.pmod(F.hash("rid"), F.lit(n_blocks)))
         )
-        new = withvals.groupBy("block").applyInPandas(
+        return withvals.groupBy("block").applyInPandas(
             _block_sweep_keyed, schema=_OUT_SCHEMA
         )
-        updates = (
-            new.join(tau, "rid")
-            .where(F.col("new_tau") != F.col("tau"))
-            .select("rid", "new_tau")
-            .localCheckpoint(eager=True)
-        )
-        if updates.count() == 0:
-            updates.unpersist(False)
-            break
-        prev_tau = tau
-        tau = _merge_updates(tau, updates).localCheckpoint(eager=True)
-        prev_tau.unpersist(False)  # superseded checkpoint blocks
-        updates.unpersist(False)
-        iters += 1
 
-    vcols = [f"v{i + 1}" for i in range(mem.r)]
-    kappa = mem.rdf.join(tau, "rid").select(
-        "rid", *vcols, F.col("tau").alias("kappa")
-    )
-    return DecompResult(kappa=kappa, iterations=iters, mem=mem)
+    return _fixpoint(mem, block_sweep, max_iter)
 
 
 def _block_sweep_keyed(pdf):

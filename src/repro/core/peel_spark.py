@@ -16,6 +16,7 @@ Two variants:
 """
 from __future__ import annotations
 
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -25,13 +26,6 @@ from pyspark.sql import functions as F
 
 from repro.core import seq
 from repro.graph.cliques import Membership, membership, s_degree_df
-
-
-def comb(s: int, r: int) -> int:
-    """C(s, r) for the tiny values used here."""
-    from math import comb as _c
-
-    return _c(s, r)
 
 
 def peel_baseline(

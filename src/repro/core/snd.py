@@ -1,17 +1,17 @@
 """Spark SND — the synchronous update operator 𝒰 as Catalyst dataflow.
 
-Each iteration of Algorithm 2 is one DataFrame round:
+Each iteration of Algorithm 2 is one plain sweep of 𝒰 over every r-clique:
 
 1. ``membership ⋈ τ``           — attach current τ to every (s-clique, member) row;
 2. per s-clique, the two smallest member τs (``sort_array(collect_list)``,
    member count is C(s, r) <= 6) give ρ(S, R) = min-over-others without a UDF:
    ρ = arr[0] if τ(R) > arr[0] else arr[1];
-3. per r-clique, H({ρ}) = max(least(row_number_desc, ρ)) via a window;
-4. updated rows are merged into τ and the loop repeats until a fixpoint.
+3. per r-clique, H({ρ}) = max(least(row_number_desc, ρ)) via a window.
 
-The *frontier* optimization is exact (DESIGN.md §5): τ_{t+1}(R) depends
-only on the τ_t of R's neighbors, so only r-cliques with a changed
-neighbor are recomputed; iteration counts equal full SND.
+:func:`_fixpoint` is the driver loop shared with Spark AND
+(``repro.core.and_spark``): it diffs each sweep's output against τ, merges
+the changed rows, and repeats until a sweep changes nothing. Skipping
+converged r-cliques is AND's job (its block kernel), not SND's.
 """
 from __future__ import annotations
 
@@ -31,27 +31,54 @@ class DecompResult:
 
     kappa: DataFrame  # columns: rid, v1..vr, kappa
     iterations: int
-    mem: Membership
 
     def to_pandas(self) -> pd.DataFrame:
         return self.kappa.toPandas()
 
 
-def _merge_updates(tau: DataFrame, updates: DataFrame) -> DataFrame:
-    """τ with updated values merged in (updates: rid, new_tau)."""
-    return tau.join(updates, "rid", "left").select(
-        "rid", F.coalesce(F.col("new_tau"), F.col("tau")).alias("tau")
+def _fixpoint(
+    mem: Membership,
+    sweep: Callable[[DataFrame], DataFrame],
+    max_iter: Optional[int],
+) -> DecompResult:
+    """Iterate ``sweep`` (τ -> (rid, new_tau)) from the S-degrees to a fixpoint.
+
+    ``iterations`` counts the sweeps that changed >= 1 τ; ``max_iter``
+    stops early with the current τ, an upper bound on κ.
+    """
+    tau = s_degree_df(mem).select("rid", F.col("deg").cast("long").alias("tau"))
+    tau = tau.localCheckpoint(eager=True)
+    iters = 0
+    while max_iter is None or iters < max_iter:
+        updates = (
+            sweep(tau).join(tau, "rid")
+            .where(F.col("new_tau") != F.col("tau"))
+            .select("rid", "new_tau")
+            .localCheckpoint(eager=True)
+        )
+        if updates.count() == 0:
+            updates.unpersist(False)
+            break
+        prev_tau = tau
+        tau = tau.join(updates, "rid", "left").select(
+            "rid", F.coalesce(F.col("new_tau"), F.col("tau")).alias("tau")
+        ).localCheckpoint(eager=True)
+        # The new τ is materialized; superseded checkpoint blocks can go
+        # (without this, long runs leak the whole iteration history).
+        prev_tau.unpersist(False)
+        updates.unpersist(False)
+        iters += 1
+
+    vcols = [f"v{i + 1}" for i in range(mem.r)]
+    kappa = mem.rdf.join(tau, "rid").select(
+        "rid", *vcols, F.col("tau").alias("kappa")
     )
+    return DecompResult(kappa=kappa, iterations=iters)
 
 
-def _sweep(mdf: DataFrame, tau: DataFrame, frontier: Optional[DataFrame]) -> DataFrame:
-    """One 𝒰 application; returns (rid, new_tau) for recomputed r-cliques."""
-    if frontier is not None:
-        sids = mdf.join(frontier, "rid").select("sid").distinct()
-        sub = mdf.join(sids, "sid")
-    else:
-        sub = mdf
-    j = sub.join(tau, "rid")
+def _sweep(mdf: DataFrame, tau: DataFrame) -> DataFrame:
+    """One 𝒰 application over every r-clique; returns (rid, new_tau)."""
+    j = mdf.join(tau, "rid")
     arrs = j.groupBy("sid").agg(F.sort_array(F.collect_list("tau")).alias("arr"))
     rho_rows = j.join(arrs, "sid").select(
         "rid",
@@ -59,8 +86,6 @@ def _sweep(mdf: DataFrame, tau: DataFrame, frontier: Optional[DataFrame]) -> Dat
         .otherwise(F.col("arr")[1])
         .alias("rho"),
     )
-    if frontier is not None:
-        rho_rows = rho_rows.join(frontier, "rid")
     w = Window.partitionBy("rid").orderBy(F.desc("rho"))
     ranked = rho_rows.select(
         "rid", "rho", F.row_number().over(w).alias("rn")
@@ -76,64 +101,13 @@ def snd(
     r: int,
     s: int,
     max_iter: Optional[int] = None,
-    frontier: bool = True,
-    history_cb: Optional[Callable[[int, pd.DataFrame], None]] = None,
     mem: Optional[Membership] = None,
 ) -> DecompResult:
     """Synchronous nucleus decomposition (Algorithm 2) on Spark.
 
-    ``history_cb(iteration, tau_pandas)`` is invoked after every sweep
-    (iteration 0 = initial S-degrees) for convergence experiments.
     ``mem`` lets callers reuse a prebuilt membership (benchmarks time
     the iteration phase separately from clique enumeration).
     """
     mem = mem or membership(edges, r, s)
     mdf = mem.mdf.localCheckpoint(eager=True)
-    tau = s_degree_df(mem).select("rid", F.col("deg").cast("long").alias("tau"))
-    tau = tau.localCheckpoint(eager=True)
-    if history_cb is not None:
-        history_cb(0, tau.toPandas())
-
-    cur_frontier = mdf.select("rid").distinct().localCheckpoint(eager=True) if frontier else None
-    iters = 0
-    while max_iter is None or iters < max_iter:
-        new = _sweep(mdf, tau, cur_frontier)
-        updates = (
-            new.join(tau, "rid")
-            .where(F.col("new_tau") != F.col("tau"))
-            .select("rid", "new_tau")
-            .localCheckpoint(eager=True)
-        )
-        n_upd = updates.count()
-        if n_upd == 0:
-            updates.unpersist(False)
-            break
-        prev_tau = tau
-        tau = _merge_updates(tau, updates).localCheckpoint(eager=True)
-        # The new τ is materialized; superseded checkpoint blocks can go
-        # (without this, long runs leak the whole iteration history).
-        prev_tau.unpersist(False)
-        iters += 1
-        if history_cb is not None:
-            history_cb(iters, tau.toPandas())
-        if frontier:
-            touched = mdf.join(updates.select("rid"), "rid").select("sid").distinct()
-            prev_frontier = cur_frontier
-            cur_frontier = (
-                mdf.join(touched, "sid").select("rid").distinct()
-                .localCheckpoint(eager=True)
-            )
-            if prev_frontier is not None:
-                prev_frontier.unpersist(False)
-        updates.unpersist(False)
-
-    vcols = [f"v{i + 1}" for i in range(mem.r)]
-    kappa = mem.rdf.join(tau, "rid").select(
-        "rid", *vcols, F.col("tau").alias("kappa")
-    )
-    return DecompResult(kappa=kappa, iterations=iters, mem=mem)
-
-
-def kappa_pandas(res: DecompResult) -> pd.DataFrame:
-    """Collected κ table with unpacked vertex columns, sorted by rid."""
-    return res.kappa.toPandas().sort_values("rid").reset_index(drop=True)
+    return _fixpoint(mem, lambda tau: _sweep(mdf, tau), max_iter)

@@ -49,7 +49,7 @@ class TestBlockAsynchrony:
     def test_iterations_at_most_snd(self, spark, name):
         """Block-AND sits between sequential AND and SND (§4.2)."""
         E = ged.from_pandas(spark, SMALL_GRAPHS[name])
-        snd_iters = snd(spark, E, 2, 3, frontier=False).iterations
+        snd_iters = snd(spark, E, 2, 3).iterations
         and_iters = and_block(spark, E, 2, 3, n_blocks=4).iterations
         assert and_iters <= snd_iters
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core import seq
+from repro.core.and_spark import and_block
 from repro.core.snd import snd
 from repro.graph import cliques as gc
 from repro.graph import edges as ged
@@ -30,11 +31,9 @@ def _collected(res, r):
 @pytest.mark.parametrize("r,s", RS_MAIN)
 class TestSndMatchesPeel:
     def test_kappa(self, spark, name, r, s):
-        # frontier=False here: the frontier path gets its own parity
-        # test below, and the plain path is ~3x faster at toy scale.
         E = ged.from_pandas(spark, SMALL_GRAPHS[name])
         gold, _ = _gold(name, r, s)
-        res = snd(spark, E, r, s, frontier=False)
+        res = snd(spark, E, r, s)
         assert _collected(res, r) == gold
 
 
@@ -45,19 +44,12 @@ class TestIterationParity:
         E = ged.from_pandas(spark, SMALL_GRAPHS[name])
         nuc, _ = seq.Nucleus.from_edges(SMALL_GRAPHS[name], r, s)
         _, seq_iters, _ = seq.snd_seq(nuc)
-        res = snd(spark, E, r, s, frontier=False)
+        res = snd(spark, E, r, s)
         assert res.iterations == seq_iters
 
     def test_fig3_two_iterations(self, spark):
         E = ged.from_pandas(spark, SMALL_GRAPHS["fig3"])
         assert snd(spark, E, 1, 2).iterations == 2
-
-    def test_frontier_off_same_result(self, spark):
-        E = ged.from_pandas(spark, SMALL_GRAPHS["gnp15"])
-        a = snd(spark, E, 2, 3, frontier=True)
-        b = snd(spark, E, 2, 3, frontier=False)
-        assert _collected(a, 2) == _collected(b, 2)
-        assert a.iterations == b.iterations
 
 
 class TestApproximation:
@@ -65,24 +57,29 @@ class TestApproximation:
         name = "gnp20"
         E = ged.from_pandas(spark, SMALL_GRAPHS[name])
         gold, _ = _gold(name, 2, 3)
-        res = snd(spark, E, 2, 3, max_iter=1, frontier=False)
+        res = snd(spark, E, 2, 3, max_iter=1)
         approx = _collected(res, 2)
         assert set(approx) == set(gold)
         assert all(approx[k] >= gold[k] for k in gold)
 
-    def test_history_callback_monotone(self, spark):
-        E = ged.from_pandas(spark, SMALL_GRAPHS["ws20"])
-        snaps = []
-        snd(spark, E, 1, 2, frontier=False, history_cb=lambda i, pdf: snaps.append(
-            pdf.sort_values("rid")["tau"].to_numpy()))
-        assert len(snaps) >= 1
-        for a, b in zip(snaps, snaps[1:]):
-            assert (b <= a).all()
+    @pytest.mark.parametrize("name,r,s", [("ws20", 1, 2), ("gnp15", 2, 3)])
+    def test_max_iter_follows_sequential_trajectory(self, spark, name, r, s):
+        """Stopping after t sweeps yields exactly the sequential τ_t."""
+        E = ged.from_pandas(spark, SMALL_GRAPHS[name])
+        mem = gc.membership(E, r, s)
+        nuc, rids = seq.Nucleus.from_edges(SMALL_GRAPHS[name], r, s)
+        _, _, history = seq.snd_seq(nuc, track_history=True)
+        for t, tau in enumerate(history):
+            res = snd(spark, E, r, s, max_iter=t, mem=mem)
+            assert res.iterations == t
+            assert _collected(res, r) == dict(zip(rids, tau.tolist())), t
+        degrees = dict(zip(rids, nuc.degrees().tolist()))
+        assert _collected(and_block(spark, E, r, s, max_iter=0, mem=mem), r) == degrees
 
     def test_membership_reuse(self, spark):
         E = ged.from_pandas(spark, SMALL_GRAPHS["gnp15"])
         mem = gc.membership(E, 2, 3)
-        res = snd(spark, E, 2, 3, mem=mem, frontier=False)
+        res = snd(spark, E, 2, 3, mem=mem)
         gold, _ = _gold("gnp15", 2, 3)
         assert _collected(res, 2) == gold
 
@@ -93,5 +90,5 @@ class TestGeneralizedRs:
         name = "gnp15"
         E = ged.from_pandas(spark, SMALL_GRAPHS[name])
         gold, _ = _gold(name, r, s)
-        res = snd(spark, E, r, s, frontier=False)
+        res = snd(spark, E, r, s)
         assert _collected(res, r) == gold
