@@ -21,7 +21,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.hindex import h_index
-from repro.core.snd import DecompResult, _fixpoint
+from repro.core.snd import DecompResult, _fixpoint, release
 from repro.graph.cliques import Membership, membership
 
 _OUT_SCHEMA = "rid long, new_tau long"
@@ -100,7 +100,10 @@ def and_block(
             _block_sweep_keyed, schema=_OUT_SCHEMA
         )
 
-    return _fixpoint(mem, block_sweep, max_iter)
+    res = _fixpoint(mem, mdf, block_sweep, max_iter)
+    release(peers)
+    release(mdf)
+    return res
 
 
 def _block_sweep_keyed(pdf):

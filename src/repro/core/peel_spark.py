@@ -25,7 +25,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import seq
-from repro.graph.cliques import Membership, membership, s_degree_df
+from repro.core.snd import release
+from repro.graph.cliques import Membership, membership
 
 
 def peel_baseline(
@@ -78,6 +79,7 @@ def peel_distributed(
             frontier = deg.where(F.col("deg") <= k).select("rid").localCheckpoint(eager=True)
             n = frontier.count()
             if n == 0:
+                release(frontier)
                 break
             rounds += 1
             out_frames.append(
@@ -87,15 +89,17 @@ def peel_distributed(
             prev_mdf, prev_alive = mdf, alive_r
             mdf = mdf.join(dead_sids, "sid", "left_anti").localCheckpoint(eager=True)
             alive_r = alive_r.join(frontier, "rid", "left_anti").localCheckpoint(eager=True)
-            prev_mdf.unpersist(False)  # superseded checkpoint blocks
-            prev_alive.unpersist(False)
-            frontier.unpersist(False)
+            release(prev_mdf)  # superseded checkpoint blocks
+            release(prev_alive)
+            release(frontier)
             deg = (
                 alive_r.join(
                     mdf.groupBy("rid").agg(F.count("*").alias("deg")), "rid", "left"
                 )
                 .select("rid", F.coalesce("deg", F.lit(0)).alias("deg"))
             )
+    release(mdf)
+    release(alive_r)
     if not out_frames:
         out = pd.DataFrame(
             {"rid": pd.Series(dtype=np.int64), "kappa": pd.Series(dtype=np.int64)}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
@@ -45,14 +45,21 @@ def unpack_exprs(col: Column, width: int, arity: int) -> List[Column]:
     ]
 
 
-def _ranked_oriented(edges: DataFrame) -> DataFrame:
+def _edge_width(edges: DataFrame) -> int:
+    """Packing width of ``edges``' vertex ids (one driver ``collect``)."""
+    return pack_width(max(0, max_vertex_id(edges)))
+
+
+def _ranked_oriented(edges: DataFrame, width: Optional[int] = None) -> DataFrame:
     """Degree-ordered orientation with rank keys.
 
     Output columns ``u``, ``v``, ``rku``, ``rkv`` where the edge points
     u → v and rk = deg * 2^width + id is the total-order key
-    (rku < rkv). Original vertex ids are preserved.
+    (rku < rkv). Original vertex ids are preserved. ``width`` defaults
+    to the edges' packing width.
     """
-    width = pack_width(max(0, max_vertex_id(edges)))
+    if width is None:
+        width = _edge_width(edges)
     deg = degrees(edges)
     rk = pack_expr([F.col("deg"), F.col("v")], width)
     dk = deg.select(F.col("v"), rk.alias("rk"))
@@ -69,9 +76,9 @@ def _ranked_oriented(edges: DataFrame) -> DataFrame:
     )
 
 
-def triangles(edges: DataFrame) -> DataFrame:
+def triangles(edges: DataFrame, width: Optional[int] = None) -> DataFrame:
     """All triangles, columns ``v1 < v2 < v3`` (ascending original ids)."""
-    o = _ranked_oriented(edges)
+    o = _ranked_oriented(edges, width)
     w1 = o.select(F.col("u").alias("a"), F.col("v").alias("b"), F.col("rkv").alias("rkb"))
     w2 = o.select(F.col("u").alias("a"), F.col("v").alias("c"), F.col("rkv").alias("rkc"))
     wedges = w1.join(w2, "a").where(F.col("rkb") < F.col("rkc"))
@@ -83,9 +90,9 @@ def triangles(edges: DataFrame) -> DataFrame:
     )
 
 
-def four_cliques(edges: DataFrame) -> DataFrame:
+def four_cliques(edges: DataFrame, width: Optional[int] = None) -> DataFrame:
     """All 4-cliques, columns ``v1 < v2 < v3 < v4`` (ascending ids)."""
-    o = _ranked_oriented(edges)
+    o = _ranked_oriented(edges, width)
     # Rank-ordered triangles (a -> b -> c in rank order).
     w1 = o.select(F.col("u").alias("a"), F.col("v").alias("b"), F.col("rkv").alias("rkb"))
     w2 = o.select(F.col("u").alias("a"), F.col("v").alias("c"), F.col("rkv").alias("rkc"))
@@ -105,8 +112,11 @@ def four_cliques(edges: DataFrame) -> DataFrame:
     )
 
 
-def k_clique_df(edges: DataFrame, k: int) -> DataFrame:
-    """k-cliques for k in 1..4 with columns ``v1..vk`` (ascending ids)."""
+def k_clique_df(edges: DataFrame, k: int, width: Optional[int] = None) -> DataFrame:
+    """k-cliques for k in 1..4 with columns ``v1..vk`` (ascending ids).
+
+    ``width`` (the edges' packing width, computed when omitted) keys the
+    degree order of the k >= 3 enumerations."""
     if k == 1:
         return (
             edges.select(F.col(SRC).alias("v1"))
@@ -116,9 +126,9 @@ def k_clique_df(edges: DataFrame, k: int) -> DataFrame:
     if k == 2:
         return edges.select(F.col(SRC).alias("v1"), F.col(DST).alias("v2"))
     if k == 3:
-        return triangles(edges)
+        return triangles(edges, width)
     if k == 4:
-        return four_cliques(edges)
+        return four_cliques(edges, width)
     raise ValueError("k_clique_df supports k in 1..4")
 
 
@@ -144,18 +154,18 @@ def membership(edges: DataFrame, r: int, s: int) -> Membership:
     """Build the (r, s) membership tables for any 1 <= r < s <= 4."""
     if not (1 <= r < s <= 4):
         raise ValueError("membership supports 1 <= r < s <= 4")
-    width = pack_width(max(0, max_vertex_id(edges)))
+    width = _edge_width(edges)
     if s * width > 63:
         raise ValueError(
             f"vertex ids too wide to pack s={s} cliques: width={width}"
         )
     rcols = [f"v{i + 1}" for i in range(r)]
-    rdf_raw = k_clique_df(edges, r)
+    rdf_raw = k_clique_df(edges, r, width)
     rdf = rdf_raw.select(
         pack_expr([F.col(c) for c in rcols], width).alias("rid"), *rcols
     )
     scols = [f"v{i + 1}" for i in range(s)]
-    sdf = k_clique_df(edges, s)
+    sdf = k_clique_df(edges, s, width)
     sid = pack_expr([F.col(c) for c in scols], width).alias("sid")
     subset_keys = [
         pack_expr([F.col(c) for c in combo], width)
@@ -166,7 +176,12 @@ def membership(edges: DataFrame, r: int, s: int) -> Membership:
 
 
 def s_degree_df(mem: Membership) -> DataFrame:
-    """S-degrees of *all* r-cliques (0 for those in no s-clique)."""
+    """S-degrees of *all* r-cliques (0 for those in no s-clique).
+
+    The engines call it once per request (never per sweep) for τ₀, on a
+    membership whose ``mdf`` is their checkpoint, so s-cliques are not
+    enumerated again.
+    """
     cnt = mem.mdf.groupBy("rid").agg(F.count("*").alias("deg"))
     return (
         mem.rdf.select("rid")

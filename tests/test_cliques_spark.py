@@ -40,6 +40,15 @@ class TestPacking:
         ).collect()[0]
         assert (back["x0"], back["x1"], back["x2"]) == (3, 7, 200)
 
+    def test_membership_computes_width_once(self, spark, monkeypatch):
+        E = _spark_edges(spark, "gnp15")
+        calls = []
+        max_id = gc.max_vertex_id
+        monkeypatch.setattr(gc, "max_vertex_id", lambda e: calls.append(1) or max_id(e))
+        mem = gc.membership(E, 3, 4)
+        assert len(calls) == 1
+        assert mem.mdf.count() == 4 * len(gl.k_cliques(SMALL_GRAPHS["gnp15"], 4))
+
     def test_packed_keys_distinct(self, spark):
         E = _spark_edges(spark, "gnp20")
         mem = gc.membership(E, 2, 3)

@@ -1,10 +1,14 @@
 """Spark SND (the paper's core as Catalyst dataflow) — correctness tests."""
+import re
+
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import seq
 from repro.core.and_spark import and_block
-from repro.core.snd import snd
+from repro.core.hindex import h_index_naive
+from repro.core.snd import _sweep, h_index_col, snd
 from repro.graph import cliques as gc
 from repro.graph import edges as ged
 from tests.helpers import RS_MAIN, SMALL_GRAPHS
@@ -92,3 +96,64 @@ class TestGeneralizedRs:
         gold, _ = _gold(name, r, s)
         res = snd(spark, E, r, s)
         assert _collected(res, r) == gold
+
+
+class TestSweep:
+    def test_h_index_col_matches_naive(self, spark):
+        rng = np.random.default_rng(7)
+        arrays = [[], [0, 0, 0], [4] * 4, [3] * 7, [50, 60, 70], [100]]
+        arrays += [
+            rng.integers(0, 12, rng.integers(1, 15)).tolist() for _ in range(60)
+        ]
+        df = spark.createDataFrame(list(enumerate(arrays)), "i int, a array<long>")
+        got = dict(df.select("i", h_index_col(F.col("a")).alias("h")).collect())
+        assert got == {i: h_index_naive(a) for i, a in enumerate(arrays)}
+
+    def test_sweep_plan_has_at_most_four_shuffles(self, spark):
+        E = ged.from_pandas(spark, SMALL_GRAPHS["gnp15"])
+        mem = gc.membership(E, 2, 3)
+        mdf = mem.mdf.localCheckpoint(eager=True)
+        tau = gc.s_degree_df(mem).select("rid", F.col("deg").cast("long").alias("tau"))
+        tau = tau.localCheckpoint(eager=True)
+        plan = _sweep(mdf, tau)._jdf.queryExecution().executedPlan().toString()
+        assert len(re.findall(r"\bExchange\b", plan)) <= 4, plan
+
+
+class TestSparkWork:
+    def _cached_rdds(self, spark):
+        return len(spark.sparkContext._jsc.sc().getRDDStorageInfo())
+
+    @pytest.mark.parametrize(
+        "engine",
+        [lambda sp, E: snd(sp, E, 1, 2), lambda sp, E: and_block(sp, E, 1, 2, n_blocks=4)],
+        ids=["snd", "and"],
+    )
+    def test_checkpoints_released(self, spark, engine):
+        """Only the τ behind ``kappa`` stays cached after a request."""
+        E = ged.from_pandas(spark, SMALL_GRAPHS["ws20"])
+        before = self._cached_rdds(spark)
+        res = engine(spark, E)
+        res.to_pandas()
+        assert res.iterations >= 2
+        assert self._cached_rdds(spark) - before <= 1
+
+    def test_one_checkpoint_per_sweep(self, spark, monkeypatch):
+        E = ged.from_pandas(spark, SMALL_GRAPHS["ws20"])
+        calls = []
+        cls = type(E)  # the classic DataFrame class, not the pyspark.sql facade
+        checkpoint = cls.localCheckpoint
+
+        def counted(self, *a, **k):
+            calls.append(1)
+            return checkpoint(self, *a, **k)
+
+        monkeypatch.setattr(cls, "localCheckpoint", counted)
+        res = snd(spark, E, 1, 2)
+        # mdf + τ₀ + one per sweep, the unchanged last sweep included.
+        assert len(calls) == 2 + res.iterations + 1
+
+    def test_kappa_reads_only_tau(self, spark):
+        """κ's vertex columns come from the rid, not another r-clique join."""
+        E = ged.from_pandas(spark, SMALL_GRAPHS["gnp15"])
+        plan = snd(spark, E, 2, 3).kappa._jdf.queryExecution().optimizedPlan().toString()
+        assert "Join" not in plan, plan
