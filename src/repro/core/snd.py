@@ -35,9 +35,12 @@ def release(checkpoint: DataFrame) -> None:
     ``DataFrame.unpersist`` does not reach a local checkpoint: its blocks
     belong to the RDD under the checkpoint's plan and would stay until a
     JVM GC lets the ContextCleaner drop them. Call this on the checkpointed
-    DataFrame itself, not on a projection of it.
+    DataFrame itself, not on a projection of it. The blocks are dropped
+    through the SparkContext because ``RDD.unpersist`` logs a WARN for
+    every locally checkpointed RDD.
     """
-    checkpoint._jdf.queryExecution().analyzed().rdd().unpersist(False)
+    rdd = checkpoint._jdf.queryExecution().analyzed().rdd()
+    rdd.sparkContext().unpersistRDD(rdd.id(), False)
 
 
 @dataclass

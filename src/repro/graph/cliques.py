@@ -4,6 +4,10 @@ Enumeration uses the standard degree-ordered orientation: each
 undirected edge points from its lower (degree, id) endpoint to the
 higher, which bounds out-degrees by O(sqrt(|E|)) on real graphs and
 makes every k-clique appear exactly once (as its rank-ordered tuple).
+One routine lists k-cliques for every k >= 3 (ordered-adjacency listing,
+Chiba & Nishizeki 1985; kClist, Danisch et al. 2018): the out-neighbour
+array N⁺(u) of every vertex is built once, and a rank-ordered prefix is
+extended by intersecting its candidate array with N⁺ of the new vertex.
 
 Cliques are keyed by packing their ascending-id vertex tuple into one
 63-bit long (``pack_expr``); ``arity * width <= 63`` is enforced, where
@@ -15,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.edges import SRC, DST, degrees, max_vertex_id, num_edges, num_vertices
+from repro.graph.edges import SRC, DST, max_vertex_id, num_edges, num_vertices
 
 
 def pack_width(max_id: int) -> int:
@@ -45,78 +49,39 @@ def unpack_exprs(col: Column, width: int, arity: int) -> List[Column]:
     ]
 
 
-def _edge_width(edges: DataFrame) -> int:
-    """Packing width of ``edges``' vertex ids (one driver ``collect``)."""
-    return pack_width(max(0, max_vertex_id(edges)))
+def _oriented_adjacency(edges: DataFrame) -> DataFrame:
+    """Out-neighbour arrays N⁺(u) of the degree-ordered orientation.
 
-
-def _ranked_oriented(edges: DataFrame, width: Optional[int] = None) -> DataFrame:
-    """Degree-ordered orientation with rank keys.
-
-    Output columns ``u``, ``v``, ``rku``, ``rkv`` where the edge points
-    u → v and rk = deg * 2^width + id is the total-order key
-    (rku < rkv). Original vertex ids are preserved. ``width`` defaults
-    to the edges' packing width.
+    Columns ``u`` and ``n`` (ids above ``u`` in (degree, id) order);
+    vertices with no out-neighbour have no row.
     """
-    if width is None:
-        width = _edge_width(edges)
-    deg = degrees(edges)
-    rk = pack_expr([F.col("deg"), F.col("v")], width)
-    dk = deg.select(F.col("v"), rk.alias("rk"))
-    e = (
-        edges.join(dk.withColumnRenamed("v", SRC).withColumnRenamed("rk", "rks"), SRC)
-        .join(dk.withColumnRenamed("v", DST).withColumnRenamed("rk", "rkd"), DST)
+    nb = (
+        edges.select(F.col(SRC).alias("u"), F.col(DST).alias("v"))
+        .union(edges.select(F.col(DST).alias("u"), F.col(SRC).alias("v")))
+        .groupBy("u")
+        .agg(F.collect_list("v").alias("nb"))
     )
-    fwd = F.col("rks") < F.col("rkd")
-    return e.select(
-        F.when(fwd, F.col(SRC)).otherwise(F.col(DST)).alias("u"),
-        F.when(fwd, F.col(DST)).otherwise(F.col(SRC)).alias("v"),
-        F.when(fwd, F.col("rks")).otherwise(F.col("rkd")).alias("rku"),
-        F.when(fwd, F.col("rkd")).otherwise(F.col("rks")).alias("rkv"),
-    )
-
-
-def triangles(edges: DataFrame, width: Optional[int] = None) -> DataFrame:
-    """All triangles, columns ``v1 < v2 < v3`` (ascending original ids)."""
-    o = _ranked_oriented(edges, width)
-    w1 = o.select(F.col("u").alias("a"), F.col("v").alias("b"), F.col("rkv").alias("rkb"))
-    w2 = o.select(F.col("u").alias("a"), F.col("v").alias("c"), F.col("rkv").alias("rkc"))
-    wedges = w1.join(w2, "a").where(F.col("rkb") < F.col("rkc"))
-    closing = o.select(F.col("u").alias("b"), F.col("v").alias("c"))
-    tri = wedges.join(closing, ["b", "c"])
-    arr = F.array_sort(F.array("a", "b", "c"))
-    return tri.select(
-        arr[0].alias("v1"), arr[1].alias("v2"), arr[2].alias("v3")
+    # Structs compare field by field: the (degree, id) order.
+    rank = F.struct(F.size("nb").alias("deg"), F.col("u").alias("id"))
+    out = nb.select("u", rank.alias("ku"), F.explode("nb").alias("v"))
+    head = nb.select(F.col("u").alias("v"), rank.alias("kv"))
+    return (
+        out.join(head, "v")
+        .where(F.col("ku") < F.col("kv"))
+        .groupBy("u")
+        .agg(F.collect_list("v").alias("n"))
     )
 
 
-def four_cliques(edges: DataFrame, width: Optional[int] = None) -> DataFrame:
-    """All 4-cliques, columns ``v1 < v2 < v3 < v4`` (ascending ids)."""
-    o = _ranked_oriented(edges, width)
-    # Rank-ordered triangles (a -> b -> c in rank order).
-    w1 = o.select(F.col("u").alias("a"), F.col("v").alias("b"), F.col("rkv").alias("rkb"))
-    w2 = o.select(F.col("u").alias("a"), F.col("v").alias("c"), F.col("rkv").alias("rkc"))
-    wedges = w1.join(w2, "a").where(F.col("rkb") < F.col("rkc"))
-    closing = o.select(F.col("u").alias("b"), F.col("v").alias("c"))
-    tri = wedges.join(closing, ["b", "c"]).select("a", "b", "c")
-    # Extend by a common out-neighbor x of c (rank above c), checking
-    # edges (a, x) and (b, x) exist in the orientation.
-    ext = o.select(F.col("u").alias("c"), F.col("v").alias("x"))
-    cand = tri.join(ext, "c")
-    ea = o.select(F.col("u").alias("a"), F.col("v").alias("x"))
-    eb = o.select(F.col("u").alias("b"), F.col("v").alias("x"))
-    quad = cand.join(ea, ["a", "x"]).join(eb, ["b", "x"])
-    arr = F.array_sort(F.array("a", "b", "c", "x"))
-    return quad.select(
-        arr[0].alias("v1"), arr[1].alias("v2"), arr[2].alias("v3"), arr[3].alias("v4")
-    )
+def k_clique_df(edges: DataFrame, k: int) -> DataFrame:
+    """k-cliques for k >= 1 with columns ``v1..vk`` (ascending ids).
 
-
-def k_clique_df(edges: DataFrame, k: int, width: Optional[int] = None) -> DataFrame:
-    """k-cliques for k in 1..4 with columns ``v1..vk`` (ascending ids).
-
-    ``width`` (the edges' packing width, computed when omitted) keys the
-    degree order of the k >= 3 enumerations."""
+    For k >= 3 a clique grows from its rank-ordered prefix ``p``: ``c``
+    holds the common out-neighbours of ``p``, and each extension by
+    x ∈ c intersects ``c`` with N⁺(x).
+    """
+    if k < 1:
+        raise ValueError("k_clique_df needs k >= 1")
     if k == 1:
         return (
             edges.select(F.col(SRC).alias("v1"))
@@ -125,11 +90,30 @@ def k_clique_df(edges: DataFrame, k: int, width: Optional[int] = None) -> DataFr
         )
     if k == 2:
         return edges.select(F.col(SRC).alias("v1"), F.col(DST).alias("v2"))
-    if k == 3:
-        return triangles(edges, width)
-    if k == 4:
-        return four_cliques(edges, width)
-    raise ValueError("k_clique_df supports k in 1..4")
+    adj = _oriented_adjacency(edges)
+    grow = adj.select(F.array("u").alias("p"), F.col("n").alias("c"))
+    for _ in range(k - 2):
+        grow = (
+            grow.select("p", "c", F.explode("c").alias("u"))
+            .join(adj, "u")
+            .select(
+                F.concat("p", F.array("u")).alias("p"),
+                F.array_intersect("c", "n").alias("c"),
+            )
+        )
+    q = F.array_sort(F.concat("p", F.array("x")))
+    cl = grow.select("p", F.explode("c").alias("x")).select(q.alias("q"))
+    return cl.select(*[F.col("q")[i].alias(f"v{i + 1}") for i in range(k)])
+
+
+def triangles(edges: DataFrame) -> DataFrame:
+    """All triangles, columns ``v1 < v2 < v3`` (ascending original ids)."""
+    return k_clique_df(edges, 3)
+
+
+def four_cliques(edges: DataFrame) -> DataFrame:
+    """All 4-cliques, columns ``v1 < v2 < v3 < v4`` (ascending ids)."""
+    return k_clique_df(edges, 4)
 
 
 @dataclass
@@ -154,18 +138,18 @@ def membership(edges: DataFrame, r: int, s: int) -> Membership:
     """Build the (r, s) membership tables for any 1 <= r < s <= 4."""
     if not (1 <= r < s <= 4):
         raise ValueError("membership supports 1 <= r < s <= 4")
-    width = _edge_width(edges)
+    width = pack_width(max(0, max_vertex_id(edges)))
     if s * width > 63:
         raise ValueError(
             f"vertex ids too wide to pack s={s} cliques: width={width}"
         )
     rcols = [f"v{i + 1}" for i in range(r)]
-    rdf_raw = k_clique_df(edges, r, width)
+    rdf_raw = k_clique_df(edges, r)
     rdf = rdf_raw.select(
         pack_expr([F.col(c) for c in rcols], width).alias("rid"), *rcols
     )
     scols = [f"v{i + 1}" for i in range(s)]
-    sdf = k_clique_df(edges, s, width)
+    sdf = k_clique_df(edges, s)
     sid = pack_expr([F.col(c) for c in scols], width).alias("sid")
     subset_keys = [
         pack_expr([F.col(c) for c in combo], width)

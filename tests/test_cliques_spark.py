@@ -1,8 +1,11 @@
 """Distributed clique enumeration vs the pure-Python reference + DuckDB."""
+import re
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 from repro.graph import cliques as gc
@@ -72,6 +75,50 @@ class TestEnumeration:
             for r in gc.four_cliques(E).select("v1", "v2", "v3", "v4").collect()
         )
         assert got == gl.k_cliques(SMALL_GRAPHS[name], 4)
+
+
+@st.composite
+def sparse_gnp(draw):
+    """G(n, p) relabelled onto sparse, non-contiguous ids in shuffled
+    order, up to 2^40 (wider than ``membership`` can pack)."""
+    n = draw(st.integers(4, 12))
+    p = draw(st.floats(0.3, 0.9))
+    seed = draw(st.integers(0, 2**16))
+    ids = np.asarray(
+        draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n, unique=True))
+    )
+    pdf = gen.gnp(n, p, seed=seed)
+    return gen.from_edge_list(zip(ids[pdf["src"]], ids[pdf["dst"]]))
+
+
+class TestOrientedEnumeration:
+    @given(sparse_gnp())
+    @settings(max_examples=12, deadline=None)
+    def test_k_clique_df_matches_reference(self, spark, pdf):
+        assume(len(pdf) > 0)
+        E = ged.from_pandas(spark, pdf)
+        for k in (3, 4):
+            cols = [f"v{i + 1}" for i in range(k)]
+            got = sorted(tuple(r) for r in gc.k_clique_df(E, k).select(*cols).collect())
+            assert got == gl.k_cliques(pdf, k), k
+
+    @pytest.mark.parametrize("k,most", [(3, 9), (4, 14)])
+    def test_plan_shuffles(self, spark, k, most):
+        # Checkpointed edges: the count is the enumerator's own shuffles,
+        # not the edges' ``distinct`` repeated at every read of them.
+        E = _spark_edges(spark, "gnp15").localCheckpoint(eager=True)
+        plan = gc.k_clique_df(E, k)._jdf.queryExecution().executedPlan().toString()
+        assert len(re.findall(r"\bExchange\b", plan)) <= most, plan
+
+    def test_no_width_collect(self, spark, monkeypatch):
+        E = _spark_edges(spark, "gnp15")
+        calls = []
+        max_id = gc.max_vertex_id
+        monkeypatch.setattr(gc, "max_vertex_id", lambda e: calls.append(1) or max_id(e))
+        monkeypatch.setattr(ged, "max_vertex_id", lambda e: calls.append(1) or max_id(e))
+        assert gc.triangles(E).count() == len(gl.k_cliques(SMALL_GRAPHS["gnp15"], 3))
+        assert gc.four_cliques(E).count() == len(gl.k_cliques(SMALL_GRAPHS["gnp15"], 4))
+        assert calls == []
 
 
 class TestTrianglesOracle:
