@@ -26,7 +26,7 @@ from pyspark.sql import functions as F
 
 from repro.core import seq
 from repro.core.snd import release
-from repro.graph.cliques import Membership, membership
+from repro.graph.cliques import Membership, incidence_rows, membership
 
 
 def peel_baseline(
@@ -39,9 +39,10 @@ def peel_baseline(
     """Parallel clique counting + sequential driver peel. Returns a pandas
     frame with columns ``rid`` (packed key) and ``kappa``, sorted by rid."""
     mem = mem or membership(edges, r, s)
-    rid_keys = mem.rdf.select("rid").toPandas()["rid"].to_numpy(np.int64)
-    rid_keys.sort()
-    mpdf = mem.mdf.toPandas()
+    rows = incidence_rows(mem).toPandas()
+    member = rows["member"].to_numpy(bool)
+    rid_keys = np.sort(rows["rid"].to_numpy(np.int64)[~member])
+    mpdf = rows.loc[member, ["sid", "rid"]]
     nuc, keys = seq.nucleus_from_pandas_membership(rid_keys, mpdf, comb(s, r))
     kappa = seq.peel(nuc)
     return pd.DataFrame({"rid": keys, "kappa": kappa}).sort_values("rid").reset_index(drop=True)

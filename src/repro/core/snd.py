@@ -1,29 +1,37 @@
 """Spark SND — the synchronous update operator 𝒰 as Catalyst dataflow.
 
-Each iteration of Algorithm 2 is one plain sweep of 𝒰 over every r-clique
-(:func:`_sweep`, four shuffles):
+The iterated state is one table ``(rid, tau, sids)``: each r-clique's τ
+and the ids of its s-cliques. 𝒰 is local — τ(R) is updated from R's own
+s-cliques and nothing else — so the incidence travels with τ, as a
+vertex-centric system keeps each vertex's edges with its value (Pregel),
+and a sweep reads the state alone, with no join. One sweep of Algorithm 2
+(:func:`_sweep`) is two shuffles:
 
-1. ``membership ⋈ τ``, then per s-clique one sorted
-   ``collect_list(struct(τ, rid))`` (member count is C(s, r) <= 6);
+1. explode ``sids`` and, per s-clique, build one sorted
+   ``collect_list(struct(tau, rid))`` (member count is C(s, r) <= 6;
+   :data:`MEMBERS_SQL`, shared with Spark AND);
 2. exploding that list gives every (r-clique, s-clique) pair its
-   ρ(S, R) = min over the other members' τ from the two smallest τs, without
-   a UDF or a join back on ``sid``: ρ = arr[0] if τ(R) > arr[0] else arr[1];
-3. per r-clique, H({ρ}) = the length of the prefix of the descending ρs
-   with ρ_i >= i, i from 1 (:func:`h_index_col`, a higher-order array filter).
+   ρ(S, R) = min over the other members' τ from the two smallest τs:
+   ρ = m[0] if τ(R) > m[0] else m[1]; per r-clique, H({ρ}) is the length
+   of the prefix of the descending ρs with ρ_i >= i, i from 1 (a
+   higher-order array filter), and the sids are collected back.
 
 :func:`_fixpoint` is the driver loop shared with Spark AND
-(``repro.core.and_spark``): each sweep's output is left-joined onto τ once,
-the joined (rid, τ, changed) table is the one checkpoint of the sweep, and
-the loop stops when a sweep changes nothing. Skipping converged r-cliques
-is AND's job (its block kernel), not SND's.
+(``repro.core.and_spark``): the sweep output, plus the r-cliques in no
+s-clique, is the one checkpoint of the sweep, and the rows it changed are
+counted by an ``Observation`` on that checkpoint's own job; the loop stops
+when a sweep changes nothing. The sweeps are built from SQL text, which
+Spark analyses once, instead of DataFrame calls that each cost py4j round
+trips and a re-analysis. Skipping converged r-cliques is AND's job (its
+block kernel), not SND's.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import pandas as pd
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.cliques import Membership, membership, s_degree_df, unpack_exprs
@@ -49,80 +57,97 @@ class DecompResult:
 
     kappa: DataFrame  # columns: rid, v1..vr, kappa
     iterations: int
+    changed: List[int]  # rows changed by each of the ``iterations`` sweeps
 
     def to_pandas(self) -> pd.DataFrame:
         return self.kappa.toPandas()
 
 
+# Shuffle 1 of every sweep: each s-clique's members, sorted by (τ, rid).
+MEMBERS_SQL = """
+SELECT sid, sort_array(collect_list(struct(tau, rid))) AS m
+FROM (SELECT rid, tau, explode(sids) AS sid FROM {state})
+GROUP BY sid
+"""
+
+# The sweep rows plus the r-cliques in no s-clique, which no sweep touches.
+_NEXT_SQL = """
+SELECT rid, tau, sids, changed FROM {out}
+UNION ALL
+SELECT rid, tau, sids, false AS changed FROM {state} WHERE size(sids) = 0
+"""
+
+
+def tau0(mem: Membership) -> DataFrame:
+    """The checkpointed state before the first sweep: (rid, tau, sids)
+    with τ the S-degree, from one query over ``mem``'s two tables."""
+    return (
+        s_degree_df(mem)
+        .select("rid", F.col("deg").alias("tau"), "sids")
+        .localCheckpoint(eager=True)
+    )
+
+
 def _fixpoint(
     mem: Membership,
-    mdf: DataFrame,
     sweep: Callable[[DataFrame], DataFrame],
     max_iter: Optional[int],
 ) -> DecompResult:
-    """Iterate ``sweep`` (τ -> (rid, new_tau)) from the S-degrees to a fixpoint.
+    """Iterate ``sweep`` from the S-degrees to a fixpoint.
 
-    ``mdf`` is the engine's checkpoint of ``mem.mdf``; the S-degrees are
-    counted on it, so s-cliques are not enumerated again, and κ's vertex
-    columns are unpacked from the rid, so r-cliques are enumerated once.
-    ``iterations`` counts the sweeps that changed >= 1 τ; ``max_iter``
-    stops early with the current τ, an upper bound on κ.
+    ``sweep`` maps the state (rid, tau, sids) to (rid, tau, sids, changed)
+    for every r-clique in >= 1 s-clique. κ's vertex columns are unpacked
+    from the rid, so r-cliques are enumerated once. ``iterations`` counts
+    the sweeps that changed >= 1 τ; ``max_iter`` stops early with the
+    current τ, an upper bound on κ.
     """
-    tau = s_degree_df(replace(mem, mdf=mdf)).select(
-        "rid", F.col("deg").cast("long").alias("tau")
-    ).localCheckpoint(eager=True)
-    iters = 0
-    while max_iter is None or iters < max_iter:
-        # r-cliques in no s-clique are missing from the sweep output: they
-        # keep their τ through the coalesce, and ``changed`` is null.
-        prev, cur = tau, tau.select("rid", "tau")
-        tau = (
-            cur.join(sweep(cur), "rid", "left")
-            .select(
-                "rid",
-                F.coalesce(F.col("new_tau"), F.col("tau")).alias("tau"),
-                (F.col("new_tau") != F.col("tau")).alias("changed"),
-            )
+    spark = mem.rdf.sparkSession
+    state = tau0(mem)
+    changed: List[int] = []
+    while max_iter is None or len(changed) < max_iter:
+        prev, obs = state, Observation()
+        state = (
+            spark.sql(_NEXT_SQL, out=sweep(prev), state=prev)
+            .observe(obs, F.count_if("changed").alias("n"))
             .localCheckpoint(eager=True)
         )
         release(prev)
-        if tau.where("changed").isEmpty():
+        n = obs.get["n"]
+        if n == 0:
             break
-        iters += 1
+        changed.append(n)
 
     vcols = unpack_exprs(F.col("rid"), mem.width, mem.r)
-    kappa = tau.select(
+    kappa = state.select(
         "rid",
         *[c.alias(f"v{i + 1}") for i, c in enumerate(vcols)],
         F.col("tau").alias("kappa"),
     )
-    return DecompResult(kappa=kappa, iterations=iters)
+    return DecompResult(kappa=kappa, iterations=len(changed), changed=changed)
 
 
-def h_index_col(values: Column) -> Column:
-    """H of an array column: the number of leading descending values
-    v_i (0-based i) with v_i >= i + 1."""
-    desc = F.sort_array(values, asc=False)
-    return F.size(F.filter(desc, lambda v, i: v >= i + 1)).cast("long")
+def h_index_sql(values: str) -> str:
+    """H of an array SQL expression: the number of leading descending
+    values v_i (0-based i) with v_i >= i + 1."""
+    return f"CAST(size(filter(sort_array({values}, false), (v, i) -> v >= i + 1)) AS BIGINT)"
 
 
-def _sweep(mdf: DataFrame, tau: DataFrame) -> DataFrame:
-    """One 𝒰 application over every r-clique; returns (rid, new_tau)."""
-    members = mdf.join(tau, "rid").groupBy("sid").agg(
-        F.sort_array(F.collect_list(F.struct("tau", "rid"))).alias("m")
-    )
-    lo, hi = F.col("m")[0]["tau"], F.col("m")[1]["tau"]
-    rho = members.select(
-        lo.alias("lo"), hi.alias("hi"), F.explode("m").alias("x")
-    ).select(
-        F.col("x.rid").alias("rid"),
-        F.when(F.col("x.tau") > F.col("lo"), F.col("lo"))
-        .otherwise(F.col("hi"))
-        .alias("rho"),
-    )
-    return rho.groupBy("rid").agg(
-        h_index_col(F.collect_list("rho")).alias("new_tau")
-    )
+_SWEEP_SQL = f"""
+SELECT rid, tau, sids, tau != old AS changed FROM (
+  SELECT x.rid AS rid, {h_index_sql("collect_list(rho)")} AS tau,
+         min(x.tau) AS old, collect_list(sid) AS sids
+  FROM (
+    SELECT sid, x, IF(x.tau > m[0].tau, m[0].tau, m[1].tau) AS rho
+    FROM ({MEMBERS_SQL}) LATERAL VIEW explode(m) ex AS x
+  )
+  GROUP BY x.rid
+)
+"""
+
+
+def _sweep(state: DataFrame) -> DataFrame:
+    """One 𝒰 application over every r-clique in >= 1 s-clique."""
+    return state.sparkSession.sql(_SWEEP_SQL, state=state)
 
 
 def snd(
@@ -138,8 +163,4 @@ def snd(
     ``mem`` lets callers reuse a prebuilt membership (benchmarks time
     the iteration phase separately from clique enumeration).
     """
-    mem = mem or membership(edges, r, s)
-    mdf = mem.mdf.localCheckpoint(eager=True)
-    res = _fixpoint(mem, mdf, lambda tau: _sweep(mdf, tau), max_iter)
-    release(mdf)
-    return res
+    return _fixpoint(mem or membership(edges, r, s), _sweep, max_iter)

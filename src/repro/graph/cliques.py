@@ -159,18 +159,29 @@ def membership(edges: DataFrame, r: int, s: int) -> Membership:
     return Membership(rdf=rdf, mdf=mdf, width=width, r=r, s=s)
 
 
-def s_degree_df(mem: Membership) -> DataFrame:
-    """S-degrees of *all* r-cliques (0 for those in no s-clique).
+def incidence_rows(mem: Membership) -> DataFrame:
+    """``rdf`` and ``mdf`` as one table, so one query plans the clique
+    enumeration behind both once.
 
-    The engines call it once per request (never per sweep) for τ₀, on a
-    membership whose ``mdf`` is their checkpoint, so s-cliques are not
-    enumerated again.
+    Columns ``rid``, ``sid``, ``member``: one row per (s-clique, member
+    r-clique) pair with ``member`` true, and one row per r-clique with
+    ``member`` false and ``sid`` = rid. No column holds a null, so a
+    ``toPandas`` keeps the 63-bit keys exact.
     """
-    cnt = mem.mdf.groupBy("rid").agg(F.count("*").alias("deg"))
-    return (
-        mem.rdf.select("rid")
-        .join(cnt, "rid", "left")
-        .select("rid", F.coalesce(F.col("deg"), F.lit(0)).alias("deg"))
+    return mem.rdf.select(
+        "rid", F.col("rid").alias("sid"), F.lit(False).alias("member")
+    ).unionByName(mem.mdf.select("rid", "sid", F.lit(True).alias("member")))
+
+
+def s_degree_df(mem: Membership) -> DataFrame:
+    """Every r-clique's s-clique ids and S-degree: columns ``rid``,
+    ``sids`` (empty for r-cliques in no s-clique) and ``deg``.
+
+    One aggregation of :func:`incidence_rows`; the engines' τ₀ reads it.
+    """
+    sid = F.when(F.col("member"), F.col("sid"))
+    return incidence_rows(mem).groupBy("rid").agg(
+        F.collect_list(sid).alias("sids"), F.count(sid).alias("deg")
     )
 
 

@@ -3,14 +3,14 @@ import re
 
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core import seq
+from repro.core import and_spark, seq
 from repro.core.and_spark import and_block
 from repro.core.hindex import h_index_naive
-from repro.core.snd import _sweep, h_index_col, snd
+from repro.core.snd import _sweep, h_index_sql, snd, tau0
 from repro.graph import cliques as gc
 from repro.graph import edges as ged
+from repro.graph import generators as gen
 from tests.helpers import RS_MAIN, SMALL_GRAPHS
 
 GRAPHS = ["fig3", "k6", "gnp15", "gnp20", "ws20", "planted"]
@@ -99,24 +99,25 @@ class TestGeneralizedRs:
 
 
 class TestSweep:
-    def test_h_index_col_matches_naive(self, spark):
+    def test_h_index_sql_matches_naive(self, spark):
         rng = np.random.default_rng(7)
-        arrays = [[], [0, 0, 0], [4] * 4, [3] * 7, [50, 60, 70], [100]]
+        arrays = [[], [0, 0, 0], [4] * 4, [3] * 7, [50, 60, 70], [100], [5, 1, 3, 3, 2]]
         arrays += [
             rng.integers(0, 12, rng.integers(1, 15)).tolist() for _ in range(60)
         ]
         df = spark.createDataFrame(list(enumerate(arrays)), "i int, a array<long>")
-        got = dict(df.select("i", h_index_col(F.col("a")).alias("h")).collect())
+        got = dict(df.selectExpr("i", f"{h_index_sql('a')} AS h").collect())
         assert got == {i: h_index_naive(a) for i, a in enumerate(arrays)}
 
-    def test_sweep_plan_has_at_most_four_shuffles(self, spark):
+    @pytest.mark.parametrize(
+        "sweep", [_sweep, lambda st: and_spark._sweep(st, 4)], ids=["snd", "and"]
+    )
+    def test_sweep_plan_has_two_shuffles_and_no_join(self, spark, sweep):
         E = ged.from_pandas(spark, SMALL_GRAPHS["gnp15"])
-        mem = gc.membership(E, 2, 3)
-        mdf = mem.mdf.localCheckpoint(eager=True)
-        tau = gc.s_degree_df(mem).select("rid", F.col("deg").cast("long").alias("tau"))
-        tau = tau.localCheckpoint(eager=True)
-        plan = _sweep(mdf, tau)._jdf.queryExecution().executedPlan().toString()
-        assert len(re.findall(r"\bExchange\b", plan)) <= 4, plan
+        state = tau0(gc.membership(E, 2, 3))
+        plan = sweep(state)._jdf.queryExecution().executedPlan().toString()
+        assert len(re.findall(r"\bExchange\b", plan)) <= 2, plan
+        assert "Join" not in plan, plan
 
 
 class TestSparkWork:
@@ -149,8 +150,35 @@ class TestSparkWork:
 
         monkeypatch.setattr(cls, "localCheckpoint", counted)
         res = snd(spark, E, 1, 2)
-        # mdf + τ₀ + one per sweep, the unchanged last sweep included.
-        assert len(calls) == 2 + res.iterations + 1
+        # τ₀ + one per sweep, the unchanged last sweep included.
+        assert len(calls) == 1 + res.iterations + 1
+
+    def test_size_estimate_stays_bounded(self, spark, monkeypatch):
+        """AND's state checkpoints do not carry a size estimate that grows
+        with every sweep (a join's estimate is the product of its inputs')."""
+        E = ged.from_pandas(spark, gen.path_graph(12))
+        digits = []
+        cls = type(E)
+        checkpoint = cls.localCheckpoint
+
+        def measured(self, *a, **k):
+            out = checkpoint(self, *a, **k)
+            stats = out._jdf.queryExecution().optimizedPlan().stats()
+            digits.append(len(str(stats.sizeInBytes())))
+            return out
+
+        monkeypatch.setattr(cls, "localCheckpoint", measured)
+        res = and_block(spark, E, 1, 2, n_blocks=12)
+        assert res.iterations >= 4
+        assert max(digits) <= 40, digits
+
+    @pytest.mark.parametrize("name,r,s", [("ws20", 1, 2), ("gnp15", 2, 3)])
+    def test_changed_counts_sequential_updates(self, spark, name, r, s):
+        E = ged.from_pandas(spark, SMALL_GRAPHS[name])
+        nuc, _ = seq.Nucleus.from_edges(SMALL_GRAPHS[name], r, s)
+        _, _, history = seq.snd_seq(nuc, track_history=True)
+        expected = [int((a != b).sum()) for a, b in zip(history, history[1:])]
+        assert snd(spark, E, r, s).changed == expected
 
     def test_kappa_reads_only_tau(self, spark):
         """κ's vertex columns come from the rid, not another r-clique join."""
