@@ -16,7 +16,8 @@ Per graph × {k-core, k-truss, (3,4)} we report two complementary views:
 
 * ``peel_rounds`` — synchronized removal waves a distributed bulk peel
   needs (simulated exactly, see ``repro.core.seq.bulk_peel_rounds``);
-* ``local_iters`` — outer iterations the local algorithm needs.
+* ``local_iters`` — outer iterations the local algorithm needs: Spark
+  rounds that changed a τ, each a block-local fixpoint.
 
 Absolute times are not comparable with the paper's C++/OpenMP testbed;
 see EXPERIMENTS.md for the paper-vs-ours discussion of both views.
@@ -70,7 +71,7 @@ def run(
                     "local_s": round(t_local["s"], 3),
                     "speedup": round(t_peel["s"] / t_local["s"], 4),
                     "peel_rounds": seq.bulk_peel_rounds(nuc),
-                    "local_iters": res.iterations,
+                    "local_iters": len(res.changed),
                     "n_r": len(base),
                 }
             )

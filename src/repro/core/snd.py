@@ -18,9 +18,9 @@ and a sweep reads the state alone, with no join. One sweep of Algorithm 2
 
 :func:`_fixpoint` is the driver loop shared with Spark AND
 (``repro.core.and_spark``): the sweep output, plus the r-cliques in no
-s-clique, is the one checkpoint of the sweep, and the rows it changed are
-counted by an ``Observation`` on that checkpoint's own job; the loop stops
-when a sweep changes nothing. The sweeps are built from SQL text, which
+s-clique, coalesced to τ₀'s partition count, is the one checkpoint of the
+sweep, and the rows it changed are counted by an ``Observation`` on that
+checkpoint's own job; the loop stops when a sweep changes nothing. The sweeps are built from SQL text, which
 Spark analyses once, instead of DataFrame calls that each cost py4j round
 trips and a re-analysis. Skipping converged r-cliques is AND's job (its
 block kernel), not SND's.
@@ -37,6 +37,11 @@ from pyspark.sql import functions as F
 from repro.graph.cliques import Membership, membership, s_degree_df, unpack_exprs
 
 
+def _rdd(checkpoint: DataFrame):
+    """The JVM RDD that holds a ``localCheckpoint``'s blocks."""
+    return checkpoint._jdf.queryExecution().analyzed().rdd()
+
+
 def release(checkpoint: DataFrame) -> None:
     """Drop a ``localCheckpoint``'s cached blocks now.
 
@@ -47,7 +52,7 @@ def release(checkpoint: DataFrame) -> None:
     through the SparkContext because ``RDD.unpersist`` logs a WARN for
     every locally checkpointed RDD.
     """
-    rdd = checkpoint._jdf.queryExecution().analyzed().rdd()
+    rdd = _rdd(checkpoint)
     rdd.sparkContext().unpersistRDD(rdd.id(), False)
 
 
@@ -57,7 +62,7 @@ class DecompResult:
 
     kappa: DataFrame  # columns: rid, v1..vr, kappa
     iterations: int
-    changed: List[int]  # rows changed by each of the ``iterations`` sweeps
+    changed: List[int]  # rows changed by each Spark round that changed >= 1 τ
 
     def to_pandas(self) -> pd.DataFrame:
         return self.kappa.toPandas()
@@ -71,10 +76,14 @@ GROUP BY sid
 """
 
 # The sweep rows plus the r-cliques in no s-clique, which no sweep touches.
+# The union has the partitions of both inputs; coalescing keeps the state
+# from gaining the sweep output's partitions on every sweep.
 _NEXT_SQL = """
-SELECT rid, tau, sids, changed FROM {out}
-UNION ALL
-SELECT rid, tau, sids, false AS changed FROM {state} WHERE size(sids) = 0
+SELECT /*+ COALESCE({parts}) */ * FROM (
+  SELECT rid, tau, sids, changed FROM {out}
+  UNION ALL
+  SELECT rid, tau, sids, 0 AS changed FROM {state} WHERE size(sids) = 0
+)
 """
 
 
@@ -90,32 +99,45 @@ def tau0(mem: Membership) -> DataFrame:
 
 def _fixpoint(
     mem: Membership,
-    sweep: Callable[[DataFrame], DataFrame],
+    sweep: Callable[[DataFrame, Optional[int]], DataFrame],
     max_iter: Optional[int],
 ) -> DecompResult:
     """Iterate ``sweep`` from the S-degrees to a fixpoint.
 
-    ``sweep`` maps the state (rid, tau, sids) to (rid, tau, sids, changed)
-    for every r-clique in >= 1 s-clique. κ's vertex columns are unpacked
-    from the rid, so r-cliques are enumerated once. ``iterations`` counts
-    the sweeps that changed >= 1 τ; ``max_iter`` stops early with the
-    current τ, an upper bound on κ.
+    ``sweep(state, budget)`` is one Spark round. It maps the state (rid,
+    tau, sids) to (rid, tau, sids, changed) for every r-clique in >= 1
+    s-clique, where ``changed`` is the number of the last of its at most
+    ``budget`` sweeps (None: no limit) that changed τ, 0 if none; SND's
+    round is one sweep. ``iterations`` sums the largest ``changed`` of
+    every round, and ``changed`` lists the rows each round changed; the
+    loop stops at a round that changes nothing. ``max_iter`` caps
+    ``iterations`` and stops early with the current τ, an upper bound on
+    κ. κ's vertex columns are unpacked from the rid, so r-cliques are
+    enumerated once.
     """
     spark = mem.rdf.sparkSession
     state = tau0(mem)
+    parts = _rdd(state).getNumPartitions()
     changed: List[int] = []
-    while max_iter is None or len(changed) < max_iter:
+    iterations = 0
+    while max_iter is None or iterations < max_iter:
+        budget = None if max_iter is None else max_iter - iterations
         prev, obs = state, Observation()
         state = (
-            spark.sql(_NEXT_SQL, out=sweep(prev), state=prev)
-            .observe(obs, F.count_if("changed").alias("n"))
+            spark.sql(_NEXT_SQL, out=sweep(prev, budget), state=prev, parts=parts)
+            .observe(
+                obs,
+                F.count_if(F.col("changed") > 0).alias("n"),
+                F.max("changed").alias("sweeps"),
+            )
             .localCheckpoint(eager=True)
         )
         release(prev)
-        n = obs.get["n"]
-        if n == 0:
+        seen = obs.get
+        if seen["n"] == 0:
             break
-        changed.append(n)
+        changed.append(seen["n"])
+        iterations += seen["sweeps"]
 
     vcols = unpack_exprs(F.col("rid"), mem.width, mem.r)
     kappa = state.select(
@@ -123,7 +145,7 @@ def _fixpoint(
         *[c.alias(f"v{i + 1}") for i, c in enumerate(vcols)],
         F.col("tau").alias("kappa"),
     )
-    return DecompResult(kappa=kappa, iterations=len(changed), changed=changed)
+    return DecompResult(kappa=kappa, iterations=iterations, changed=changed)
 
 
 def h_index_sql(values: str) -> str:
@@ -133,7 +155,7 @@ def h_index_sql(values: str) -> str:
 
 
 _SWEEP_SQL = f"""
-SELECT rid, tau, sids, tau != old AS changed FROM (
+SELECT rid, tau, sids, CAST(tau != old AS INT) AS changed FROM (
   SELECT x.rid AS rid, {h_index_sql("collect_list(rho)")} AS tau,
          min(x.tau) AS old, collect_list(sid) AS sids
   FROM (
@@ -163,4 +185,6 @@ def snd(
     ``mem`` lets callers reuse a prebuilt membership (benchmarks time
     the iteration phase separately from clique enumeration).
     """
-    return _fixpoint(mem or membership(edges, r, s), _sweep, max_iter)
+    return _fixpoint(
+        mem or membership(edges, r, s), lambda state, _budget: _sweep(state), max_iter
+    )

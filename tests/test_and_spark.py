@@ -5,7 +5,9 @@ import pytest
 from repro.core import seq
 from repro.core.and_spark import and_block
 from repro.core.snd import snd
+from repro.graph import cliques as gc
 from repro.graph import edges as ged
+from repro.graph import generators as gen
 from tests.helpers import RS_MAIN, SMALL_GRAPHS
 
 GRAPHS = ["fig3", "gnp15", "gnp20", "ws20"]
@@ -52,6 +54,43 @@ class TestBlockAsynchrony:
         snd_iters = snd(spark, E, 2, 3).iterations
         and_iters = and_block(spark, E, 2, 3, n_blocks=4).iterations
         assert and_iters <= snd_iters
+
+    @pytest.mark.parametrize("name,r,s", [("fig3", 1, 2), ("ba20", 1, 2), ("gnp15", 2, 3)])
+    def test_single_block_max_iter_is_sequential_and(self, spark, name, r, s):
+        """One block stopped after t in-block sweeps holds the sequential
+        AND's τ after t sweeps, and counts at most t iterations."""
+        E = ged.from_pandas(spark, SMALL_GRAPHS[name])
+        mem = gc.membership(E, r, s)
+        nuc, rids = seq.Nucleus.from_edges(SMALL_GRAPHS[name], r, s)
+        _, seq_iters, _, _ = seq.and_seq(nuc)
+        for t in range(seq_iters + 2):
+            res = and_block(spark, E, r, s, n_blocks=1, max_iter=t, mem=mem)
+            tau, _, _, _ = seq.and_seq(nuc, max_iter=t)
+            assert _collected(res, r) == dict(zip(rids, tau.tolist())), t
+            assert res.iterations <= t
+        assert res.iterations == seq_iters
+
+    @pytest.mark.parametrize("name,r,s", [("fig3", 1, 2), ("ws20", 1, 2), ("gnp20", 2, 3)])
+    def test_single_block_converges_in_one_round(self, spark, name, r, s):
+        """One block iterates to its fixpoint inside the first Spark round."""
+        nuc, _ = seq.Nucleus.from_edges(SMALL_GRAPHS[name], r, s)
+        assert seq.and_seq(nuc)[1] >= 1
+        E = ged.from_pandas(spark, SMALL_GRAPHS[name])
+        assert len(and_block(spark, E, r, s, n_blocks=1).changed) == 1
+
+    @pytest.mark.parametrize("n_blocks", [3, 4])
+    def test_sparse_ids_near_2_20(self, spark, n_blocks):
+        """(2,3) κ stays exact when rids fill the top of a 42-bit range, so
+        the rid-range blocks are split by a span near 2^40."""
+        pdf = SMALL_GRAPHS["gnp15"]
+        ids = (1 << 20) - 40 + 7 * np.arange(15)  # straddles 2^20: width 21
+        sparse = gen.from_edge_list(
+            zip(ids[pdf["src"].to_numpy()].tolist(), ids[pdf["dst"].to_numpy()].tolist())
+        )
+        nuc, rids = seq.Nucleus.from_edges(sparse, 2, 3)
+        gold = dict(zip(rids, seq.peel(nuc).tolist()))
+        res = and_block(spark, ged.from_pandas(spark, sparse), 2, 3, n_blocks=n_blocks)
+        assert _collected(res, 2) == gold
 
     def test_many_blocks_still_correct(self, spark):
         E = ged.from_pandas(spark, SMALL_GRAPHS["gnp15"])

@@ -172,6 +172,30 @@ class TestSparkWork:
         assert res.iterations >= 4
         assert max(digits) <= 40, digits
 
+    @pytest.mark.parametrize(
+        "engine",
+        [lambda sp, E: snd(sp, E, 1, 2), lambda sp, E: and_block(sp, E, 1, 2, n_blocks=12)],
+        ids=["snd", "and"],
+    )
+    def test_state_partitions_do_not_grow(self, spark, monkeypatch, engine):
+        """Each sweep's checkpoint has no more partitions than τ₀'s: the
+        union with the r-cliques in no s-clique must not add the previous
+        state's partitions to the sweep output's on every sweep."""
+        E = ged.from_pandas(spark, gen.path_graph(12))
+        parts = []
+        cls = type(E)
+        checkpoint = cls.localCheckpoint
+
+        def counted(self, *a, **k):
+            out = checkpoint(self, *a, **k)
+            parts.append(out.rdd.getNumPartitions())
+            return out
+
+        monkeypatch.setattr(cls, "localCheckpoint", counted)
+        engine(spark, E)
+        assert len(parts) >= 4
+        assert max(parts[1:]) <= parts[0], parts
+
     @pytest.mark.parametrize("name,r,s", [("ws20", 1, 2), ("gnp15", 2, 3)])
     def test_changed_counts_sequential_updates(self, spark, name, r, s):
         E = ged.from_pandas(spark, SMALL_GRAPHS[name])
