@@ -20,10 +20,10 @@ and a sweep reads the state alone, with no join. One sweep of Algorithm 2
 (``repro.core.and_spark``): the sweep output, plus the r-cliques in no
 s-clique, coalesced to τ₀'s partition count, is the one checkpoint of the
 sweep, and the rows it changed are counted by an ``Observation`` on that
-checkpoint's own job; the loop stops when a sweep changes nothing. The sweeps are built from SQL text, which
-Spark analyses once, instead of DataFrame calls that each cost py4j round
-trips and a re-analysis. Skipping converged r-cliques is AND's job (its
-block kernel), not SND's.
+checkpoint's own job; the loop stops when a sweep changes nothing. The
+sweeps are built from SQL text, which Spark analyses once, instead of
+DataFrame calls that each cost py4j round trips and a re-analysis.
+Skipping converged r-cliques is AND's job (its block kernel), not SND's.
 """
 from __future__ import annotations
 
